@@ -332,12 +332,16 @@ impl ArrivalMonitor {
     /// beyond the class count fold into the last class, mirroring the
     /// metric layer's fixed slot array).
     pub fn observe(&mut self, t: f64, counts: &[u64]) {
+        // Folded in place, not into a scratch vector: this runs on
+        // every metric-buffer flush of the admit path, which allocates
+        // nothing.
         let last = self.classes.len() - 1;
-        let mut folded = vec![0u64; self.classes.len()];
-        for (i, &n) in counts.iter().enumerate() {
-            folded[i.min(last)] += n;
-        }
-        for ((est, det), &n) in self.classes.iter_mut().zip(&folded) {
+        for (i, (est, det)) in self.classes.iter_mut().enumerate() {
+            let n = if i < last {
+                counts.get(i).copied().unwrap_or(0)
+            } else {
+                counts.iter().skip(last).sum()
+            };
             est.observe_n(t, n);
             det.update(t, est.rate());
         }

@@ -31,10 +31,8 @@
 //!   headroom never exceeds the budget".
 
 use crate::state::{to_millibits, UtilizationState, SCALE};
-#[cfg(not(loom))]
-use crate::sync::atomic::AtomicUsize;
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{CachePadded, Mutex};
+use crate::sync::{thread_slot, CachePadded, Mutex};
 use std::fmt;
 
 /// The CAS-per-(server, class) backend — [`UtilizationState`] fulfilling
@@ -224,33 +222,6 @@ impl AdmissionBackend for UtilizationState {
 /// Most shards a [`ShardedBackend`] will stripe a budget across; beyond
 /// this the per-reservation scan cost outweighs any contention win.
 pub const MAX_SHARDS: usize = 16;
-
-/// Round-robin home-shard assignment: each thread gets a stable index at
-/// first use, so threads spread across shards deterministically.
-/// (`Relaxed` suffices: the counter only hands out distinct indices,
-/// it synchronizes nothing.)
-#[cfg(not(loom))]
-static NEXT_HOME: AtomicUsize = AtomicUsize::new(0);
-#[cfg(not(loom))]
-thread_local! {
-    static HOME: usize = NEXT_HOME.fetch_add(1, Ordering::Relaxed);
-}
-
-/// The calling thread's home-shard seed (reduced mod the shard count at
-/// use sites).
-fn home_seed() -> usize {
-    #[cfg(not(loom))]
-    {
-        HOME.with(|h| *h)
-    }
-    // Under the model checker the seed must be a pure function of the
-    // model thread — a process-global counter would assign different
-    // home shards on different executions and break schedule replay.
-    #[cfg(loom)]
-    {
-        uba_loom::thread::current_index()
-    }
-}
 
 /// One stripe of a cell's budget. `CachePadded` at every use site: the
 /// pre-audit layout packed eight `AtomicU64` shards into one 64-byte
@@ -570,7 +541,7 @@ impl AdmissionBackend for ShardedBackend {
 
     fn try_reserve_path(&self, route: &[u32], class: usize, rate: f64) -> Result<u32, PathReject> {
         let want = to_millibits(rate);
-        let home = home_seed() % self.shards;
+        let home = thread_slot() % self.shards;
         let mut cas_retries = 0u32;
         for (i, &server) in route.iter().enumerate() {
             let cell = self.cell(server as usize, class);
@@ -593,7 +564,7 @@ impl AdmissionBackend for ShardedBackend {
 
     fn release_path(&self, route: &[u32], class: usize, rate: f64) {
         let amount = to_millibits(rate);
-        let home = home_seed() % self.shards;
+        let home = thread_slot() % self.shards;
         for &server in route {
             self.put(self.cell(server as usize, class), amount, home);
         }

@@ -29,6 +29,27 @@
 //! operators watching [`drain`](AdmissionController::drain) (or the
 //! `admission.generations.retired_pinned` gauge) should treat the new
 //! budgets as fully in force only once retired generations empty.
+//!
+//! **Shared writes per decision.** The decision itself is the per-link
+//! reservation CAS; everything else the path writes is either
+//! thread-local or one refcount. For one admit (`Static` chain, metered,
+//! tracing off) followed later by its release:
+//!
+//! | write | before | now |
+//! |---|---|---|
+//! | per-link reservation CAS (admit, release) | yes | yes |
+//! | generation refcount: `current_generation()` clone + drop | 2 RMWs | 0 — borrowed from the thread's cache (`with_current`) |
+//! | generation refcount held by the handle (clone, drop) | 2 RMWs | 2 RMWs |
+//! | controller refcount held by the handle (clone, drop) | 2 RMWs | 0 — release metrics reached through the generation |
+//! | live-flow count (pin, unpin) | 2 RMWs on one generation-wide counter | 2 RMWs on the acting threads' own stripes |
+//! | route copy into the handle | 1 allocation + 1 free | 0 — the handle stores the route id |
+//! | route lookup | SipHash probe | dense index load |
+//! | link-full reject counters (all-class, per-class, CAS retries) | 2–3 process-global RMWs | 0 — thread buffer, published per flush |
+//!
+//! A link-full reject therefore writes nothing shared besides its CAS
+//! attempts and their rollback. What remains shared on the admit path
+//! is true sharing: two threads admitting over one link contend on that
+//! link's cell, and on the generation's refcount line.
 
 use crate::backend::CellDemand;
 use crate::generation::{BackendKind, ConfigGeneration};
@@ -37,7 +58,7 @@ use crate::state::{to_millibits, SCALE};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
 use crate::table::RoutingTable;
-use std::cell::RefCell;
+use std::cell::Cell;
 use uba_graph::NodeId;
 use uba_obs::trace::{self, EventKind};
 use uba_traffic::{ClassId, ClassSet};
@@ -216,21 +237,27 @@ thread_local! {
     /// Last generation this thread admitted against. Generation ids are
     /// process-unique, so one cache serves any number of controllers:
     /// an id match against the owning controller's epoch can never be a
-    /// false positive.
-    static GEN_CACHE: RefCell<Option<Arc<ConfigGeneration>>> = const { RefCell::new(None) };
+    /// false positive. `with_current` moves the `Arc` out for the length
+    /// of one decision and back, so the cache never touches its refcount.
+    static GEN_CACHE: Cell<Option<Arc<ConfigGeneration>>> = const { Cell::new(None) };
 }
 
 /// An admitted flow. Dropping the handle releases its bandwidth on every
 /// link of its route (RAII teardown = the paper's flow tear-down
 /// message) — against the generation it was admitted under, even if the
 /// controller has been reconfigured since.
+///
+/// The handle holds nothing but its generation and two indices into
+/// it: the route is named by its id in the generation's routing table
+/// and the rate by the class, and the release is recorded in the
+/// metrics the generation was installed with. Admitting a flow
+/// therefore allocates nothing and touches no controller refcount.
 #[derive(Debug)]
 pub struct FlowHandle {
-    inner: Arc<Inner>,
     generation: Arc<ConfigGeneration>,
-    class: usize,
-    rate: f64,
-    servers: Box<[u32]>,
+    /// Route id in the generation's [`RoutingTable`].
+    route: u32,
+    class: u32,
     /// Audit-trail id (0 when tracing was disabled at admit time).
     flow: u64,
 }
@@ -295,9 +322,10 @@ impl AdmissionController {
     }
 
     fn from_generation_with_metrics(
-        generation: ConfigGeneration,
+        mut generation: ConfigGeneration,
         metrics: Option<AdmissionMetrics>,
     ) -> Self {
+        generation.attach_metrics(metrics.clone());
         let epoch = generation.id();
         let ctrl = Self {
             inner: Arc::new(Inner {
@@ -316,26 +344,39 @@ impl AdmissionController {
 
     /// The generation new admissions currently run against. The `Arc`
     /// stays valid (and releasable-against) even after later
-    /// reconfigurations.
+    /// reconfigurations. The admit path borrows the generation instead
+    /// (see `with_current`); this owned copy is for callers off it.
     #[inline]
     pub fn current_generation(&self) -> Arc<ConfigGeneration> {
+        self.with_current(Arc::clone)
+    }
+
+    /// Runs `f` on the current generation, borrowed from this thread's
+    /// generation cache: a cache hit costs one epoch load and touches no
+    /// refcount. A miss re-reads the generation under the `current` lock.
+    #[inline]
+    fn with_current<R>(&self, f: impl FnOnce(&Arc<ConfigGeneration>) -> R) -> R {
         // ordering: Acquire pairs with the Release epoch store in
         // `reconfigure` — a thread that reads the new epoch is
         // guaranteed to find the new generation pointer under the lock.
         let epoch = self.inner.epoch.load(Ordering::Acquire);
-        GEN_CACHE.with(|slot| {
-            {
-                let cached = slot.borrow();
-                if let Some(g) = cached.as_ref() {
-                    if g.id() == epoch {
-                        return Arc::clone(g);
-                    }
-                }
-            }
-            let g = Arc::clone(&self.inner.current.lock().unwrap());
-            *slot.borrow_mut() = Some(Arc::clone(&g));
-            g
-        })
+        // Moved out, not cloned: a nested call (from inside `f`) finds
+        // the slot empty and takes the miss path.
+        let g = match GEN_CACHE.with(Cell::take) {
+            Some(g) if g.id() == epoch => g,
+            _ => self.locked_current(),
+        };
+        let r = f(&g);
+        GEN_CACHE.with(|slot| slot.set(Some(g)));
+        r
+    }
+
+    /// The current generation, read under the lock (the generation
+    /// cache's miss path).
+    #[cold]
+    #[inline(never)]
+    fn locked_current(&self) -> Arc<ConfigGeneration> {
+        Arc::clone(&self.inner.current.lock().unwrap())
     }
 
     /// Attempts to admit one flow of `class` from `src` to `dst` against
@@ -350,8 +391,7 @@ impl AdmissionController {
         src: NodeId,
         dst: NodeId,
     ) -> Result<FlowHandle, Reject> {
-        let generation = self.current_generation();
-        self.admit_inner(&generation, class, src, dst, None)
+        self.with_current(|g| self.admit_inner(g, class, src, dst, None))
     }
 
     /// Like [`try_admit`](Self::try_admit) but on an explicit decision
@@ -368,8 +408,7 @@ impl AdmissionController {
         dst: NodeId,
         t: f64,
     ) -> Result<FlowHandle, Reject> {
-        let generation = self.current_generation();
-        self.admit_inner(&generation, class, src, dst, Some(t))
+        self.with_current(|g| self.admit_inner(g, class, src, dst, Some(t)))
     }
 
     /// Like [`try_admit`](Self::try_admit) but against an explicitly
@@ -402,7 +441,6 @@ impl AdmissionController {
     ) -> Result<FlowHandle, Reject> {
         let inner = &self.inner;
         let backend = generation.backend();
-        let rate = generation.rates()[class.index()];
         // Sampled decision latency: 1 in LATENCY_SAMPLE_EVERY decisions
         // reads the clock; the rest pay one thread-local decrement.
         let timer = inner
@@ -418,7 +456,8 @@ impl AdmissionController {
         } else {
             0
         };
-        let Some(route) = generation.table().route(src, dst, class) else {
+        let table = generation.table();
+        let Some(route_id) = table.route_id(src, dst, class) else {
             if let Some(m) = &inner.metrics {
                 m.rejects_no_route.inc();
                 m.record_admit_ns(timer);
@@ -433,6 +472,8 @@ impl AdmissionController {
             );
             return Err(Reject::NoRoute);
         };
+        let route = table.route_at(route_id);
+        let rate = generation.rates()[class.index()];
         // Policy chain: shaping stages run after the route lookup (a
         // routeless flow is a config error, not demand) and before the
         // reservation walk. The `Static` chain skips everything —
@@ -470,9 +511,6 @@ impl AdmissionController {
                 if let Some(m) = &inner.metrics {
                     m.record_admit(route.len());
                     m.record_arrival(class.index());
-                    if cas_retries > 0 {
-                        m.cas_retries.add(cas_retries as u64);
-                    }
                     m.record_retries(generation.kind(), cas_retries);
                     m.record_admit_ns(timer);
                 }
@@ -486,11 +524,9 @@ impl AdmissionController {
                 );
                 generation.pin();
                 Ok(FlowHandle {
-                    inner: Arc::clone(inner),
                     generation: Arc::clone(generation),
-                    class: class.index(),
-                    rate,
-                    servers: route.into(),
+                    route: route_id,
+                    class: class.index() as u32,
                     flow,
                 })
             }
@@ -502,14 +538,10 @@ impl AdmissionController {
                     chain.refund_n(class.index(), 1);
                 }
                 if let Some(m) = &inner.metrics {
-                    m.rejects_link_full.inc();
-                    m.rejects_link_full_class[class.index()].inc();
+                    m.record_link_full(class.index());
                     // Offered load includes link-full rejects: the burst
                     // estimators must see demand the budget turned away.
                     m.record_arrival(class.index());
-                    if reject.retries > 0 {
-                        m.cas_retries.add(reject.retries as u64);
-                    }
                     m.record_retries(generation.kind(), reject.retries);
                     m.record_admit_ns(timer);
                 }
@@ -551,16 +583,14 @@ impl AdmissionController {
     /// Flows with no configured route are rejected either way and never
     /// block the rest of the batch.
     pub fn try_admit_batch(&self, specs: &[FlowSpec]) -> BatchOutcome {
-        let generation = self.current_generation();
-        self.batch_inner(&generation, specs, None)
+        self.with_current(|g| self.batch_inner(g, specs, None))
     }
 
     /// Like [`try_admit_batch`](Self::try_admit_batch) on an explicit
     /// decision clock (the batched counterpart of
     /// [`try_admit_at`](Self::try_admit_at)).
     pub fn try_admit_batch_at(&self, specs: &[FlowSpec], t: f64) -> BatchOutcome {
-        let generation = self.current_generation();
-        self.batch_inner(&generation, specs, Some(t))
+        self.with_current(|g| self.batch_inner(g, specs, Some(t)))
     }
 
     /// Like [`try_admit_batch`](Self::try_admit_batch) but against an
@@ -593,10 +623,11 @@ impl AdmissionController {
             .as_ref()
             .and_then(AdmissionMetrics::admit_timer);
         let tr = trace::global();
+        let table = generation.table();
         // Dedupe identical (class, src, dst) triples: one route lookup
         // and one demand contribution per unique triple. `uniq_of[i]` is
         // flow i's index into `uniq`.
-        let mut uniq: Vec<(FlowSpec, Option<&[u32]>, u64)> = Vec::new();
+        let mut uniq: Vec<(FlowSpec, Option<u32>, u64)> = Vec::new();
         let mut uniq_of: Vec<usize> = Vec::with_capacity(specs.len());
         for spec in specs {
             match uniq.iter().position(|(s, _, _)| s == spec) {
@@ -606,11 +637,7 @@ impl AdmissionController {
                 }
                 None => {
                     uniq_of.push(uniq.len());
-                    uniq.push((
-                        *spec,
-                        generation.table().route(spec.src, spec.dst, spec.class),
-                        1,
-                    ));
+                    uniq.push((*spec, table.route_id(spec.src, spec.dst, spec.class), 1));
                 }
             }
         }
@@ -620,9 +647,9 @@ impl AdmissionController {
         // the same flows reserved one by one.
         let mut entries: Vec<(u64, u64)> = Vec::new();
         for (spec, route, count) in &uniq {
-            if let Some(r) = route {
+            if let Some(id) = route {
                 let rate_mb = to_millibits(generation.rates()[spec.class.index()]);
-                for &server in *r {
+                for &server in table.route_at(*id) {
                     entries.push((
                         (u64::from(server) << 32) | spec.class.index() as u64,
                         count * rate_mb,
@@ -722,11 +749,9 @@ impl AdmissionController {
                         let (spec, route, _) = &uniq[j];
                         match route {
                             Some(route) => Ok(FlowHandle {
-                                inner: Arc::clone(inner),
                                 generation: Arc::clone(generation),
-                                class: spec.class.index(),
-                                rate: generation.rates()[spec.class.index()],
-                                servers: (*route).into(),
+                                route: *route,
+                                class: spec.class.index() as u32,
                                 flow: if flow_base == 0 {
                                     0
                                 } else {
@@ -740,15 +765,12 @@ impl AdmissionController {
                 if let Some(m) = &inner.metrics {
                     for &j in &uniq_of {
                         if let Some(route) = uniq[j].1 {
-                            m.record_admit(route.len());
+                            m.record_admit(table.route_at(route).len());
                             m.record_arrival(uniq[j].0.class.index());
                         }
                     }
                     if no_route > 0 {
                         m.rejects_no_route.add(no_route as u64);
-                    }
-                    if cas_retries > 0 {
-                        m.cas_retries.add(u64::from(cas_retries));
                     }
                     // One batched decision = one entry in the per-backend
                     // retry histogram (total retries across the batch).
@@ -808,8 +830,9 @@ impl AdmissionController {
     /// The displaced generation is retired; flows admitted under it keep
     /// draining against its budgets (see [`drain`](Self::drain) and the
     /// transition-semantics note in the module docs).
-    pub fn reconfigure(&self, next: ConfigGeneration) -> ReconfigReport {
+    pub fn reconfigure(&self, mut next: ConfigGeneration) -> ReconfigReport {
         let sw = uba_obs::Stopwatch::start();
+        next.attach_metrics(self.inner.metrics.clone());
         let next = Arc::new(next);
         let next_id = next.id();
         let old = {
@@ -971,12 +994,12 @@ impl AdmissionController {
 impl FlowHandle {
     /// The route the flow was admitted on (raw server indices).
     pub fn route(&self) -> &[u32] {
-        &self.servers
+        self.generation.table().route_at(self.route)
     }
 
     /// The flow's reserved rate in bits/s.
     pub fn rate(&self) -> f64 {
-        self.rate
+        self.generation.rates()[self.class as usize]
     }
 
     /// Id of the generation the flow was admitted under (and will
@@ -988,20 +1011,22 @@ impl FlowHandle {
 
 impl Drop for FlowHandle {
     fn drop(&mut self) {
-        self.generation
-            .backend()
-            .release_path(&self.servers, self.class, self.rate);
-        self.generation.unpin();
-        if let Some(m) = &self.inner.metrics {
+        let generation = &*self.generation;
+        let servers = self.route();
+        let class = self.class as usize;
+        let rate = self.rate();
+        generation.backend().release_path(servers, class, rate);
+        generation.unpin();
+        if let Some(m) = generation.metrics() {
             m.record_release();
         }
         trace::global().emit(
             EventKind::Release,
-            self.class,
+            class,
             self.flow,
-            self.servers.first().copied().unwrap_or(u32::MAX),
-            self.rate,
-            self.servers.len() as f64,
+            servers.first().copied().unwrap_or(u32::MAX),
+            rate,
+            servers.len() as f64,
         );
     }
 }
@@ -1034,6 +1059,21 @@ mod tests {
         let caps = vec![1e6; edges];
         let ctrl = AdmissionController::with_backend(table, &classes, &caps, &[alpha], kind);
         (ctrl, shared)
+    }
+
+    /// Like [`setup_on`] but metered into a registry of its own, so a
+    /// test can assert exact counts while other tests' threads publish
+    /// into the process-global registry.
+    fn setup_metered(alpha: f64, kind: BackendKind) -> (AdmissionController, AdmissionMetrics) {
+        let (table, _, edges) = topology();
+        let classes = ClassSet::single(TrafficClass::voip());
+        let caps = vec![1e6; edges];
+        let m = AdmissionMetrics::register(&uba_obs::Registry::new(), 1);
+        let ctrl = AdmissionController::from_generation_with_metrics(
+            ConfigGeneration::new(table, &classes, &caps, &[alpha], kind),
+            Some(m.clone()),
+        );
+        (ctrl, m)
     }
 
     fn fresh_generation(alpha: f64) -> ConfigGeneration {
@@ -1163,11 +1203,27 @@ mod tests {
     }
 
     #[test]
-    fn metrics_track_admits_rejects_and_releases() {
-        // Counters are process-global and shared across tests, so assert
-        // on deltas.
+    fn hostile_ids_are_no_route_rejects() {
+        // `serve` feeds request ids straight in: out-of-range nodes and
+        // classes must reject, never index out of bounds.
         let (ctrl, _) = setup(0.32);
-        let m = crate::metrics::AdmissionMetrics::global(1);
+        for (src, dst, class) in [
+            (u32::MAX, 2, 0),
+            (0, u32::MAX, 0),
+            (u32::MAX, u32::MAX, 0),
+            (0, 2, usize::MAX),
+        ] {
+            let (src, dst, class) = (NodeId(src), NodeId(dst), ClassId(class));
+            assert_eq!(ctrl.try_admit(class, src, dst).err(), Some(Reject::NoRoute));
+            let out = ctrl.try_admit_batch(&[FlowSpec { class, src, dst }]);
+            assert_eq!(out.flows[0].as_ref().err(), Some(&Reject::NoRoute));
+        }
+        assert_eq!(ctrl.current_generation().pinned(), 0);
+    }
+
+    #[test]
+    fn metrics_track_admits_rejects_and_releases() {
+        let (ctrl, m) = setup_metered(0.32, BackendKind::Atomic);
         let (admits0, nr0, lf0, rel0) = (
             m.admits.get(),
             m.rejects_no_route.get(),
@@ -1198,8 +1254,7 @@ mod tests {
 
     #[test]
     fn decision_telemetry_feeds_latency_and_retry_histograms() {
-        let (ctrl, _) = setup_on(0.32, BackendKind::Sharded(4));
-        let m = crate::metrics::AdmissionMetrics::global(1);
+        let (ctrl, m) = setup_metered(0.32, BackendKind::Sharded(4));
         ctrl.refresh_gauges();
         let (lat0, retry0) = (m.admit_ns.count(), m.retries_sharded.count());
         // Enough decisions (admits + link-full + no-route) to guarantee
@@ -1240,15 +1295,22 @@ mod tests {
         let classes = ClassSet::single(TrafficClass::voip());
         let caps = vec![1e6; g.edge_count()];
         let ctrl = AdmissionController::new_unmetered(table, &classes, &caps, &[0.32]);
-        let m = crate::metrics::AdmissionMetrics::global(1);
-        let admits0 = m.admits.get();
+        // A probe owns this thread's metric buffer. Any recording by the
+        // controller would re-point the buffer at its own metrics; other
+        // tests' threads cannot touch it (the process-global counters
+        // they publish into would make a before/after read racy).
+        let m = AdmissionMetrics::register(&uba_obs::Registry::new(), 1);
+        m.record_admit(1);
         let h: Vec<_> = (0..10)
             .map(|_| ctrl.try_admit(ClassId(0), NodeId(0), NodeId(2)).unwrap())
             .collect();
         assert!(ctrl.try_admit(ClassId(0), NodeId(0), NodeId(2)).is_err());
         ctrl.refresh_gauges(); // no-op, must not panic
         drop(h);
-        assert_eq!(m.admits.get(), admits0, "unmetered must not record");
+        assert!(m.owns_thread_buffer(), "unmetered must not record");
+        m.flush();
+        assert_eq!(m.admits.get(), 1, "unmetered must not record");
+        assert_eq!(m.releases.get(), 0, "unmetered must not record");
     }
 
     #[test]

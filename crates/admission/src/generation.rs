@@ -14,8 +14,10 @@
 //! [`AdmissionController::reconfigure`]: crate::AdmissionController::reconfigure
 
 use crate::backend::{AdmissionBackend, AtomicBackend, ShardedBackend};
+use crate::metrics::AdmissionMetrics;
 use crate::policy::PolicyChain;
 use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::{thread_slot, CachePadded};
 use crate::table::RoutingTable;
 use uba_traffic::ClassSet;
 
@@ -36,6 +38,27 @@ pub enum BackendKind {
 /// alone, and trace events from different controllers never collide.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
+/// Pin stripes per generation. Each thread pins and unpins on the
+/// stripe of its [`thread_slot`], so admitting threads never write a
+/// shared counter line; threads beyond the stripe count share stripes
+/// round-robin, which costs sharing but never correctness.
+#[cfg(not(loom))]
+const PIN_STRIPES: usize = 8;
+/// Two stripes are enough for the model's two or three threads to land
+/// on different stripes, and keep `pinned()`'s schedule points few.
+#[cfg(loom)]
+const PIN_STRIPES: usize = 2;
+
+/// One thread stripe of a generation's live-flow count: monotone
+/// counts of pins and unpins made by the threads mapped here. A flow
+/// may unpin on another stripe than it pinned on (handles move between
+/// threads), so only the sums across stripes mean anything.
+#[derive(Debug, Default)]
+struct PinStripe {
+    pins: AtomicU64,
+    unpins: AtomicU64,
+}
+
 /// One immutable (routing table, alphas, budgets) snapshot plus its
 /// reservation backend.
 #[derive(Debug)]
@@ -52,9 +75,14 @@ pub struct ConfigGeneration {
     /// [`PolicyChain`]). Frozen with the generation: a reconfigure
     /// installs fresh policy state alongside the fresh budgets.
     policy: PolicyChain,
-    /// Live flows admitted under this generation (incremented on admit,
-    /// decremented when their handle drops) — what `drain` reports.
-    pinned: AtomicU64,
+    /// Live flows admitted under this generation, as per-thread pin and
+    /// unpin counts — `pinned()` is their difference, what `drain`
+    /// reports.
+    stripes: Box<[CachePadded<PinStripe>]>,
+    /// Where the handles of this generation record their release: the
+    /// metrics of the controller that adopted or installed it (`None`
+    /// for unmetered controllers and for a generation never installed).
+    metrics: Option<AdmissionMetrics>,
 }
 
 impl ConfigGeneration {
@@ -103,8 +131,21 @@ impl ConfigGeneration {
             kind,
             backend,
             policy,
-            pinned: AtomicU64::new(0),
+            stripes: (0..PIN_STRIPES).map(|_| CachePadded::default()).collect(),
+            metrics: None,
         }
+    }
+
+    /// Attaches the installing controller's metrics, which the
+    /// generation's flow handles record their releases into.
+    pub(crate) fn attach_metrics(&mut self, metrics: Option<AdmissionMetrics>) {
+        self.metrics = metrics;
+    }
+
+    /// The metrics releases of this generation's flows are recorded in.
+    #[inline]
+    pub(crate) fn metrics(&self) -> Option<&AdmissionMetrics> {
+        self.metrics.as_ref()
     }
 
     /// Which backend kind this generation allocated (the per-backend
@@ -147,36 +188,60 @@ impl ConfigGeneration {
 
     /// Live flows still holding reservations in this generation.
     pub fn pinned(&self) -> u64 {
-        // ordering: Acquire pairs with the AcqRel unpin — an observer
-        // that sees `pinned() == 0` (the retire/drain decision) also
-        // sees every drained flow's backend release.
-        self.pinned.load(Ordering::Acquire)
+        // Unpins first, then pins. Every unpin this read observes was
+        // preceded (happens-before, through the handle's hand-off and
+        // the Acquire below) by its flow's pin, so the later pin read
+        // counts at least as many pins: the difference never underflows.
+        let unpins: u64 = self
+            .stripes
+            .iter()
+            // ordering: Acquire pairs with the Release unpin — an
+            // observer that sees `pinned() == 0` (the retire/drain
+            // decision) also sees every drained flow's backend release,
+            // and every pin that preceded a counted unpin.
+            .map(|s| s.unpins.load(Ordering::Acquire))
+            .sum();
+        let pins: u64 = self
+            .stripes
+            .iter()
+            // ordering: Relaxed — read-after-write coherence already
+            // shows this load every pin that happens-before it, which
+            // the unpin Acquire above established for the counted ones.
+            .map(|s| s.pins.load(Ordering::Relaxed))
+            .sum();
+        debug_assert!(pins >= unpins, "pinned() underflow: {pins} < {unpins}");
+        pins.wrapping_sub(unpins)
     }
 
-    pub(crate) fn pin(&self) {
-        // ordering: AcqRel keeps pin in the same cell-wide RMW order as
-        // unpin, so the count can never transiently underflow to an
-        // observer (Relaxed would suffice for the count alone, but the
-        // symmetric edge documents the pin/unpin protocol).
-        self.pinned.fetch_add(1, Ordering::AcqRel);
+    #[inline]
+    fn stripe(&self) -> &PinStripe {
+        &self.stripes[thread_slot() % PIN_STRIPES]
     }
 
-    /// Pins `n` flows with one RMW — the batched admission path admits a
-    /// whole slice under a single pin update instead of one per flow.
+    /// Pins `n` flows on the calling thread's stripe with one RMW — the
+    /// batched admission path admits a whole slice under a single pin
+    /// update instead of one per flow.
+    #[inline]
     pub(crate) fn pin_n(&self, n: u64) {
         if n == 0 {
             return;
         }
-        // ordering: AcqRel — same edge as `pin`, amortized over a batch.
-        self.pinned.fetch_add(n, Ordering::AcqRel);
+        // ordering: Relaxed — a pin publishes nothing; the reader that
+        // must see it is ordered after it by the unpin's Release edge.
+        self.stripe().pins.fetch_add(n, Ordering::Relaxed);
     }
 
+    #[inline]
+    pub(crate) fn pin(&self) {
+        self.pin_n(1);
+    }
+
+    #[inline]
     pub(crate) fn unpin(&self) {
-        // ordering: AcqRel — the release half publishes the flow's
-        // backend release before the drop to zero that lets drain()
+        // ordering: Release publishes the flow's backend release (and,
+        // transitively, its pin) before the unpin that lets drain()
         // retire this generation.
-        let prev = self.pinned.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "unpin without a matching pin");
+        self.stripe().unpins.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -221,9 +286,26 @@ mod tests {
         let g = generation(BackendKind::Atomic);
         assert_eq!(g.pinned(), 0);
         g.pin();
-        g.pin();
-        assert_eq!(g.pinned(), 2);
+        g.pin_n(2);
+        assert_eq!(g.pinned(), 3);
         g.unpin();
+        assert_eq!(g.pinned(), 2);
+    }
+
+    #[test]
+    fn pins_and_unpins_on_different_threads_balance() {
+        let g = std::sync::Arc::new(generation(BackendKind::Atomic));
+        g.pin_n(4);
+        let g2 = std::sync::Arc::clone(&g);
+        std::thread::spawn(move || {
+            for _ in 0..3 {
+                g2.unpin();
+            }
+        })
+        .join()
+        .unwrap();
         assert_eq!(g.pinned(), 1);
+        g.unpin();
+        assert_eq!(g.pinned(), 0);
     }
 }

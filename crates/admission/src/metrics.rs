@@ -10,10 +10,13 @@
 //! [`AdmissionMetrics::flush`] /
 //! [`crate::AdmissionController::refresh_gauges`]. That keeps the
 //! metered admit path within a few percent of the bare CAS walk —
-//! `uba-bench`'s `obs_overhead` binary checks that claim. Rejection
-//! counters stay direct atomics (the reject path already pays for state
-//! reads), and the per-class utilization gauges are *not* updated per
-//! admit; they are refreshed on demand by
+//! `uba-bench`'s `obs_overhead` binary checks that claim. The link-full
+//! reject counters and the CAS-retry counter ride in the same buffer
+//! (about a quarter of the decisions of a loaded controller are
+//! link-full rejects, so direct atomics there would put two
+//! process-global `fetch_add`s on the decision path); the rarer no-route
+//! and policy rejects stay direct atomics. Per-class utilization gauges
+//! are *not* updated per admit; they are refreshed on demand by
 //! [`crate::AdmissionController::refresh_gauges`] so the hot path never
 //! pays for them.
 
@@ -56,6 +59,11 @@ const LAT_SLOTS: usize = 32;
 /// beyond the last slot fold into it (mirrored by
 /// [`ArrivalMonitor::observe`]).
 const ARRIVAL_SLOTS: usize = 8;
+
+/// Per-class link-full reject slots in the thread-local buffer. The
+/// per-class counters are exact, so classes beyond the last slot are
+/// counted directly instead of folding.
+const REJECT_SLOTS: usize = 8;
 
 /// Shared endpoint of the buffered arrival counts: the per-class
 /// estimators/detectors ([`crate::arrival`]) plus the gauges they
@@ -128,6 +136,9 @@ impl ArrivalSink {
 struct HotHandles {
     admits: Arc<Counter>,
     releases: Arc<Counter>,
+    rejects_link_full: Arc<Counter>,
+    rejects_link_full_class: Vec<Arc<Counter>>,
+    cas_retries: Arc<Counter>,
     path_hops: Arc<Histogram>,
     admit_ns: Arc<Histogram>,
     retries_atomic: Arc<Histogram>,
@@ -142,6 +153,11 @@ struct Pending {
     handles: RefCell<Option<HotHandles>>,
     admits: Cell<u64>,
     releases: Cell<u64>,
+    /// Link-full rejects, all classes and per class.
+    link_full: Cell<u64>,
+    link_full_class: [Cell<u32>; REJECT_SLOTS],
+    /// CAS retries summed over decisions.
+    cas_retries: Cell<u64>,
     hops: [Cell<u32>; HOP_SLOTS],
     /// Per-class offered-arrival counts (admits + link-full rejects)
     /// awaiting one [`ArrivalSink::observe`] call at flush.
@@ -167,6 +183,9 @@ impl Pending {
             handles: RefCell::new(None),
             admits: Cell::new(0),
             releases: Cell::new(0),
+            link_full: Cell::new(0),
+            link_full_class: [const { Cell::new(0) }; REJECT_SLOTS],
+            cas_retries: Cell::new(0),
             hops: [const { Cell::new(0) }; HOP_SLOTS],
             arrivals: [const { Cell::new(0) }; ARRIVAL_SLOTS],
             retries_atomic: [const { Cell::new(0) }; RETRY_SLOTS],
@@ -192,6 +211,20 @@ impl Pending {
         let n = self.releases.replace(0);
         if n > 0 {
             h.releases.add(n);
+        }
+        let n = self.link_full.replace(0);
+        if n > 0 {
+            h.rejects_link_full.add(n);
+        }
+        for (c, counter) in self.link_full_class.iter().zip(&h.rejects_link_full_class) {
+            let n = c.replace(0);
+            if n > 0 {
+                counter.add(u64::from(n));
+            }
+        }
+        let n = self.cas_retries.replace(0);
+        if n > 0 {
+            h.cas_retries.add(n);
         }
         for (i, c) in self.hops.iter().enumerate() {
             let n = c.replace(0);
@@ -231,6 +264,9 @@ impl Pending {
         *self.handles.borrow_mut() = Some(HotHandles {
             admits: Arc::clone(&m.admits),
             releases: Arc::clone(&m.releases),
+            rejects_link_full: Arc::clone(&m.rejects_link_full),
+            rejects_link_full_class: m.rejects_link_full_class.clone(),
+            cas_retries: Arc::clone(&m.cas_retries),
             path_hops: Arc::clone(&m.path_hops),
             admit_ns: Arc::clone(&m.admit_ns),
             retries_atomic: Arc::clone(&m.retries_atomic),
@@ -304,14 +340,15 @@ pub struct AdmissionMetrics {
     /// Rejections because no route was configured.
     pub rejects_no_route: Arc<Counter>,
     /// Rejections because a link had no headroom (all classes).
+    /// Thread-buffered like `admits`: read it after [`flush`](Self::flush).
     pub rejects_link_full: Arc<Counter>,
-    /// Per-class split of the link-full rejections.
+    /// Per-class split of the link-full rejections (thread-buffered).
     pub rejects_link_full_class: Vec<Arc<Counter>>,
     /// Rejections by policy stage, indexed like [`STAGE_NAMES`]. Direct
     /// atomics like the other reject counters: a policy reject is off
     /// the admitted-flow hot path.
     pub rejects_policy: Vec<Arc<Counter>>,
-    /// CAS retries across all reservation loops.
+    /// CAS retries across all reservation loops (thread-buffered).
     pub cas_retries: Arc<Counter>,
     /// Flows released (handle dropped).
     pub releases: Arc<Counter>,
@@ -434,6 +471,25 @@ impl AdmissionMetrics {
         });
     }
 
+    /// Records one link-full reject of `class` into this thread's
+    /// buffer (the all-class and the per-class counter). Like the admit
+    /// counters, published by [`flush`](Self::flush), thread exit, or
+    /// every [`FLUSH_EVERY`] hot-path events.
+    #[inline]
+    pub fn record_link_full(&self, class: usize) {
+        PENDING.with(|p| {
+            if p.owner.get() != Arc::as_ptr(&self.admits) {
+                p.adopt(self);
+            }
+            p.link_full.set(p.link_full.get() + 1);
+            match p.link_full_class.get(class) {
+                Some(c) => c.set(c.get() + 1),
+                None => self.rejects_link_full_class[class].inc(),
+            }
+            p.bump();
+        });
+    }
+
     /// Records one offered arrival for `class` (an admission attempt
     /// that reached the reservation walk: admitted or link-full
     /// rejected) into this thread's buffer. Classes beyond the buffer's
@@ -497,9 +553,10 @@ impl AdmissionMetrics {
 
     /// Records the CAS retry count of one decision (admit or link-full
     /// reject) against the backend kind that served it, into this
-    /// thread's buffer. Zero-retry decisions count too: the histogram
-    /// mean is then retries-per-operation, the scaling benchmark's
-    /// contention figure.
+    /// thread's buffer: one entry in the backend's retries-per-decision
+    /// histogram, and `retries` added to the `admission.cas_retries`
+    /// total. Zero-retry decisions count too: the histogram mean is then
+    /// retries-per-operation, the scaling benchmark's contention figure.
     #[inline]
     pub fn record_retries(&self, kind: BackendKind, retries: u32) {
         PENDING.with(|p| {
@@ -512,6 +569,7 @@ impl AdmissionMetrics {
             };
             let slot = (retries as usize).min(RETRY_SLOTS - 1);
             slots[slot].set(slots[slot].get() + 1);
+            p.cas_retries.set(p.cas_retries.get() + u64::from(retries));
             p.bump();
         });
     }
@@ -526,10 +584,18 @@ impl AdmissionMetrics {
         }
     }
 
+    /// True if this thread's hot-path buffer currently records into
+    /// this instance (the last instance to record on the thread).
+    #[cfg(test)]
+    pub(crate) fn owns_thread_buffer(&self) -> bool {
+        PENDING.with(|p| p.owner.get() == Arc::as_ptr(&self.admits))
+    }
+
     /// Publishes this thread's buffered hot-path deltas into the shared
-    /// counters. Call before reading `admits`/`releases`/`path_hops` on
-    /// the recording thread; other threads publish on their own flushes
-    /// (at the latest on thread exit).
+    /// counters. Call before reading `admits`/`releases`/`path_hops`/the
+    /// link-full and CAS-retry counters on the recording thread; other
+    /// threads publish on their own flushes (at the latest on thread
+    /// exit).
     pub fn flush(&self) {
         PENDING.with(|p| p.flush());
     }
@@ -696,6 +762,24 @@ mod tests {
         let snap = r.snapshot();
         assert!(snap.get("admission.rejects.policy.token_bucket").is_some());
         assert!(snap.get("admission.rejects.policy.aimd").is_some());
+    }
+
+    #[test]
+    fn reject_and_retry_counters_buffer_until_flush() {
+        let r = Registry::new();
+        let m = AdmissionMetrics::register(&r, 10);
+        m.flush();
+        m.record_link_full(0);
+        m.record_link_full(9); // beyond the buffer's slots: counted directly
+        m.record_retries(BackendKind::Atomic, 3);
+        assert_eq!(m.rejects_link_full.get(), 0, "deltas must stay buffered");
+        assert_eq!(m.cas_retries.get(), 0);
+        assert_eq!(m.rejects_link_full_class[9].get(), 1);
+        m.flush();
+        assert_eq!(m.rejects_link_full.get(), 2);
+        assert_eq!(m.rejects_link_full_class[0].get(), 1);
+        assert_eq!(m.rejects_link_full_class[9].get(), 1);
+        assert_eq!(m.cas_retries.get(), 3);
     }
 
     #[test]

@@ -38,6 +38,11 @@ pub struct UtilizationState {
     /// Budget `α_i · C_k` per (server, class), millibits/s.
     budgets: Vec<u64>,
     /// Currently reserved rate per (server, class), millibits/s.
+    // Padding was tried and did not pay: a prototype measured mci/atomic
+    // at T=1 fall from 7.3M to 4.6M ops/s (`admission_scaling`, 2
+    // vCPUs); 7 alternating smoke reruns on that host gave medians of
+    // 6.16M unpadded vs 5.79M padded at T=1 and 3.70M vs 4.21M at T=2,
+    // inside the 3.4M-6.5M spread between runs (DESIGN.md §11.4).
     // padding: cells are shared by every thread by design (one counter
     // per (server, class) is the whole point of the atomic backend), so
     // per-cell cache-line padding would only grow the table ~16x without

@@ -18,7 +18,7 @@ pub(crate) use std::sync::{Arc, Mutex};
 /// loom` swaps in the model checker's versions.
 #[cfg(not(loom))]
 pub(crate) mod atomic {
-    pub use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    pub use std::sync::atomic::{AtomicU64, Ordering};
 }
 
 #[cfg(loom)]
@@ -28,19 +28,46 @@ pub(crate) use uba_loom::sync::{Arc, Mutex};
 /// loom` swaps in the model checker's versions.
 #[cfg(loom)]
 pub(crate) mod atomic {
-    // `AtomicUsize` is only used by the sharded backend's home-shard
-    // counter, which is `cfg(not(loom))` (the model uses the scheduler's
-    // deterministic thread index instead), so it is not re-exported here.
     pub use uba_loom::sync::atomic::{AtomicU64, Ordering};
+}
+
+/// Round-robin thread slots: each thread gets a stable index at first
+/// use, so per-thread stripes (the sharded backend's home shards, a
+/// generation's pin stripes) spread threads deterministically.
+/// (`Relaxed` suffices: the counter only hands out distinct indices,
+/// it synchronizes nothing.)
+#[cfg(not(loom))]
+static NEXT_SLOT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+#[cfg(not(loom))]
+thread_local! {
+    static SLOT: usize = NEXT_SLOT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+}
+
+/// The calling thread's stripe seed (reduced mod the stripe count at
+/// use sites).
+#[inline]
+pub(crate) fn thread_slot() -> usize {
+    #[cfg(not(loom))]
+    {
+        SLOT.with(|h| *h)
+    }
+    // Under the model checker the seed must be a pure function of the
+    // model thread — a process-global counter would assign different
+    // stripes on different executions and break schedule replay.
+    #[cfg(loom)]
+    {
+        uba_loom::thread::current_index()
+    }
 }
 
 /// Pads (and aligns) `T` to two cache lines so adjacent slots of an
 /// array never share a line. 128 bytes, not 64: Intel's spatial
 /// prefetcher pulls line pairs, and aarch64 big cores have 128-byte
 /// lines — padding to the pair kills both destructive-interference
-/// modes. Used for the sharded backend's per-shard slots (the whole
-/// point of striping a budget is that each stripe gets its own line;
-/// see DESIGN.md §11 for the padding audit).
+/// modes. Used for the sharded backend's per-shard slots and a
+/// generation's per-thread pin stripes (the whole point of striping is
+/// that each stripe gets its own line; see DESIGN.md §11 for the
+/// padding audit).
 #[cfg(not(loom))]
 #[repr(align(128))]
 #[derive(Debug, Default)]

@@ -38,6 +38,10 @@
 //!    racing each other (and racing the CAS-claimed refill interval)
 //!    can never jointly draw more than the burst depth, and a refunded
 //!    grab restores the balance exactly.
+//! 7. A generation's striped pin count never underflows: a handle
+//!    admitted on one thread and dropped on another pins and unpins on
+//!    different stripes, and a `drain` racing the drop still reads 0 or
+//!    1 — then 0 once the handle is gone.
 
 #![cfg(loom)]
 
@@ -282,6 +286,54 @@ fn pinned_handle_releases_against_its_admitting_generation() {
         assert_eq!(gen1.backend().snapshot(0, 0), 0.0, "release went to gen1");
         let gen2 = ctrl.current_generation();
         assert_eq!(gen2.backend().snapshot(0, 0), 0.0, "gen2 was never touched");
+        assert!(ctrl.drain().is_drained());
+    }));
+}
+
+/// A handle admitted on one thread and dropped on another while
+/// `drain` runs: the pin (admitter's stripe) and the unpin (dropper's
+/// stripe) land on different pin stripes, and the whole flow may live
+/// and die inside one `drain` scan. `pinned()` sums the unpins before
+/// the pins, and every counted unpin's pin happens-before it, so the
+/// scan can neither underflow nor miss the flow that stays pinned
+/// throughout (reading 0 there would retire a generation that still
+/// holds a reservation). Once every handle has dropped the retired
+/// generation reads 0 and the controller drains.
+#[test]
+fn handle_dropped_on_another_thread_never_underflows_pinned() {
+    assert_complete(flagship().check(|| {
+        let classes = ClassSet::single(TrafficClass::voip());
+        let ctrl = AdmissionController::new_unmetered(one_link_table(), &classes, &[1e6], &[0.5]);
+        let gen1 = ctrl.current_generation();
+        // Retire gen1 with one flow pinned, so drain() watches it.
+        let held = ctrl
+            .try_admit(ClassId(0), NodeId(0), NodeId(1))
+            .expect("empty controller must admit");
+        assert_eq!(ctrl.reconfigure(fresh_generation()).pinned_previous, 1);
+
+        let c = ctrl.clone();
+        let g = Arc::clone(&gen1);
+        let admitter = uba_loom::thread::spawn(move || {
+            let handle = c
+                .try_admit_on(&g, ClassId(0), NodeId(0), NodeId(1))
+                .expect("gen1 has budget for two flows");
+            // The flow is released by another thread than admitted it.
+            uba_loom::thread::spawn(move || drop(handle))
+                .join()
+                .unwrap();
+        });
+        let mid = ctrl.drain(); // races the admit and the remote drop
+        let pinned = mid.pinned_flows();
+        assert!(
+            (1..=2).contains(&pinned),
+            "one flow stays pinned throughout, at most two ever are: {mid:?}"
+        );
+        admitter.join().unwrap();
+        assert_eq!(gen1.pinned(), 1);
+
+        drop(held);
+        assert_eq!(gen1.pinned(), 0, "every handle dropped: nothing pinned");
+        assert_eq!(gen1.backend().snapshot(0, 0), 0.0, "releases went to gen1");
         assert!(ctrl.drain().is_drained());
     }));
 }

@@ -35,6 +35,8 @@
 //!   contention dominates on ≥4 cores);
 //! * batching: `ops(batch=32) ≥ 1.5 · ops(batch=1)` per backend — the
 //!   aggregated reserve + amortized pin/trace/metrics must actually pay;
+//!   the `batch=1 / try_admit` throughput ratio is printed (and written
+//!   to the JSON) as a reported row, not a gate;
 //! * correctness tripwires: `spurious_rejects == 0` in every sharded
 //!   cell (the two-phase borrow protocol makes them structurally
 //!   impossible), the sharded hotlink cells must record cross-shard
@@ -422,6 +424,34 @@ fn main() {
         }
     }
 
+    // ---- Reported, not gated: a one-flow batch against plain try_admit
+    // (same topology, backend and single thread). The batch path pays
+    // its aggregation and dedup vectors even for one flow; this row
+    // tracks what that costs.
+    let mut batch1_ratios: Vec<(&str, f64)> = Vec::new();
+    for (backend_name, _) in backends {
+        let ops = |batch: usize| {
+            cells
+                .iter()
+                .find(|c| {
+                    c.topology == "mci"
+                        && c.backend == backend_name
+                        && c.threads == 1
+                        && c.batch == batch
+                })
+                .map(|c| c.ops_per_sec)
+                .unwrap()
+        };
+        let (b1, plain) = (ops(1), ops(0));
+        println!(
+            "{:>8} {:>8} batch=1 / try_admit: {b1:>10.0} vs {plain:.0} flows/s (x{:.2}, reported)",
+            "mci",
+            backend_name,
+            b1 / plain
+        );
+        batch1_ratios.push((backend_name, b1 / plain));
+    }
+
     // ---- Relative gates. ----
     for cell in &cells {
         // The hotlink star serializes on one budget cell by design, and
@@ -562,10 +592,21 @@ fn main() {
             "  \"iters_per_thread\": {},\n",
             "  \"backend_floor\": {},\n",
             "  \"batch_floor\": {},\n",
+            "  \"batch1_over_try_admit\": {{{}}},\n",
             "  \"cells\": [\n{}  ]\n",
             "}}\n"
         ),
-        cores, thread_counts, iters, backend_floor, BATCH_FLOOR, body,
+        cores,
+        thread_counts,
+        iters,
+        backend_floor,
+        BATCH_FLOOR,
+        batch1_ratios
+            .iter()
+            .map(|(b, r)| format!("\"{b}\": {r:.3}"))
+            .collect::<Vec<_>>()
+            .join(", "),
+        body,
     );
     uba::obs::json::parse(&json).expect("trajectory JSON must parse");
     std::fs::write("BENCH_admission.json", &json).expect("write BENCH_admission.json");

@@ -469,7 +469,7 @@ pub fn cmd_metrics(sc: &Scenario, json: bool) -> Result<String, ScenarioError> {
 fn scenario_table(sc: &Scenario) -> Result<(RoutingTable, Vec<f64>), ScenarioError> {
     let paths = sp_selection(&sc.graph, &sc.pairs)
         .map_err(|p| ScenarioError(format!("no route for pair {p:?}")))?;
-    let mut table = RoutingTable::new();
+    let mut table = RoutingTable::with_nodes(sc.graph.node_count());
     for (ci, _) in sc.classes.iter() {
         for p in &paths {
             table.insert(ci, p);

@@ -272,7 +272,7 @@ impl Configuration {
     /// `AdmissionController::reconfigure` to swap it live, or to
     /// `AdmissionController::from_generation` to start a controller.
     pub fn apply(&self, kind: BackendKind) -> ConfigGeneration {
-        let mut table = RoutingTable::new();
+        let mut table = RoutingTable::with_nodes(self.g.node_count());
         for p in &self.paths {
             table.insert(ClassId(0), p);
         }
