@@ -6,11 +6,12 @@
 //! packet forwarding module. Events are processed in (time, sequence)
 //! order, so runs are bit-for-bit deterministic.
 
+use crate::metrics::SimMetrics;
 use crate::report::{SimReport, StatsAccumulator};
 use crate::sched::{Discipline, SchedJob, Scheduler};
 use crate::source::SourceModel;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// One flow to simulate.
 #[derive(Clone, Debug)]
@@ -89,30 +90,91 @@ pub struct SimProgress {
     pub done: bool,
 }
 
+/// A packet in flight. Its route is the slice `hops[pos..end]` of the
+/// run's flat route table, so advancing a hop touches no per-flow state.
 #[derive(Clone, Copy, Debug)]
 struct Job {
-    flow: u32,
-    hop: u16,
     /// Measurement start (ns): arrival at the first real server.
     t0: u64,
-    /// True when the packet entered the network after the mid-run
-    /// reconfiguration and follows the flow's new route.
-    rerouted: bool,
+    flow: u32,
+    class: u32,
+    /// Index into `hops` of the station the packet is at.
+    pos: u32,
+    /// One past the index of its last station.
+    end: u32,
 }
 
-enum Event {
-    Arrive(Job),
-    Complete {
-        station: u32,
-    },
-    /// The mid-run route swap (pushed once, at the configured time).
-    Reconfigure,
+/// A pending transmission completion, `(t, seq, station)`: the payload
+/// rides inline, and since seqs are unique the order is `(t, seq)`.
+type Completion = (u64, u64, u32);
+
+/// The pending completions, popped in `(t, seq)` order. Seqs only grow,
+/// so a completion due no earlier than the last one queued extends a
+/// sorted run, kept in a FIFO; only one due earlier goes to the heap.
+/// When every packet on a link has the same transmission time — the
+/// validation workloads — the heap stays empty.
+#[derive(Default)]
+struct Completions {
+    run: VecDeque<Completion>,
+    heap: BinaryHeap<Reverse<Completion>>,
+}
+
+impl Completions {
+    fn push(&mut self, c: Completion) {
+        match self.run.back() {
+            Some(last) if c.0 < last.0 => self.heap.push(Reverse(c)),
+            _ => self.run.push_back(c),
+        }
+    }
+
+    /// The earliest pending completion, and whether it heads the run.
+    fn peek(&self) -> Option<(Completion, bool)> {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(&r), Some(&Reverse(h))) if h < r => Some((h, false)),
+            (Some(&r), _) => Some((r, true)),
+            (None, h) => h.map(|&Reverse(h)| (h, false)),
+        }
+    }
+
+    fn pop(&mut self) -> Option<Completion> {
+        match self.peek()? {
+            (_, true) => self.run.pop_front(),
+            (_, false) => self.heap.pop().map(|Reverse(c)| c),
+        }
+    }
+}
+
+/// A packet handed from one station to the next, arriving at the
+/// instant its previous transmission completed.
+struct Handoff {
+    seq: u64,
+    job: Job,
+    bits: u64,
+}
+
+/// A conforming source emission, in the run's one sorted emission stream.
+#[derive(Clone, Copy)]
+struct Emission {
+    t: u64,
+    seq: u64,
+    flow: u32,
+}
+
+/// What an emission needs to know about its flow, flattened out of
+/// [`FlowSpec`]; `start..end` is the flow's route (shaper first) in the
+/// flat route table.
+#[derive(Clone, Copy)]
+struct FlowRow {
+    bits: u64,
+    class: u32,
+    start: u32,
+    end: u32,
 }
 
 struct Station {
     capacity: f64,
     sched: Scheduler<Job>,
-    current: Option<Job>,
+    current: Option<SchedJob<Job>>,
     backlog: usize,
 }
 
@@ -123,6 +185,27 @@ impl Station {
             sched: Scheduler::new(discipline.clone(), classes),
             current: None,
             backlog: 0,
+        }
+    }
+}
+
+/// Tally of station backlogs at each enqueue, indexed by depth, so the
+/// event loop writes no shared atomics. Flushed into the
+/// `sim.queue_depth` histogram with one `record_n` per depth.
+#[derive(Default)]
+struct DepthTally(Vec<u64>);
+
+impl DepthTally {
+    fn record(&mut self, depth: usize) {
+        if depth >= self.0.len() {
+            self.0.resize(depth + 1, 0);
+        }
+        self.0[depth] += 1;
+    }
+
+    fn flush(&mut self, hist: &uba_obs::Histogram) {
+        for (depth, n) in self.0.iter_mut().enumerate() {
+            hist.record_n(depth as f64, std::mem::take(n));
         }
     }
 }
@@ -143,7 +226,15 @@ pub fn simulate_with(
     cfg: &SimConfig,
     discipline: &Discipline,
 ) -> SimReport {
-    run(capacities, flows, cfg, discipline, None, None)
+    run(
+        capacities,
+        flows,
+        cfg,
+        discipline,
+        None,
+        None,
+        crate::metrics::sim(),
+    )
 }
 
 /// Like [`simulate_with`], but invokes `observer` every `every` sim
@@ -177,7 +268,25 @@ pub fn simulate_observed(
         discipline,
         None,
         Some((every, observer)),
+        crate::metrics::sim(),
     )
+}
+
+fn check_reconfiguration(capacities: &[f64], flows: &[FlowSpec], reconfig: &Reconfiguration) {
+    assert!(
+        reconfig.at.is_finite() && reconfig.at >= 0.0,
+        "reconfiguration time must be finite and non-negative"
+    );
+    for (fi, route) in &reconfig.reroutes {
+        assert!(*fi < flows.len(), "reroute flow index out of range");
+        assert!(!route.is_empty(), "reroute must be non-empty");
+        for &k in route {
+            assert!(
+                (k as usize) < capacities.len(),
+                "reroute server out of range"
+            );
+        }
+    }
 }
 
 /// Runs the simulation with a mid-run routing reconfiguration.
@@ -196,21 +305,16 @@ pub fn simulate_reconfigured(
     discipline: &Discipline,
     reconfig: &Reconfiguration,
 ) -> SimReport {
-    assert!(
-        reconfig.at.is_finite() && reconfig.at >= 0.0,
-        "reconfiguration time must be finite and non-negative"
-    );
-    for (fi, route) in &reconfig.reroutes {
-        assert!(*fi < flows.len(), "reroute flow index out of range");
-        assert!(!route.is_empty(), "reroute must be non-empty");
-        for &k in route {
-            assert!(
-                (k as usize) < capacities.len(),
-                "reroute server out of range"
-            );
-        }
-    }
-    run(capacities, flows, cfg, discipline, Some(reconfig), None)
+    check_reconfiguration(capacities, flows, reconfig);
+    run(
+        capacities,
+        flows,
+        cfg,
+        discipline,
+        Some(reconfig),
+        None,
+        crate::metrics::sim(),
+    )
 }
 
 /// [`simulate_reconfigured`] with the observation/incremental-publish
@@ -230,20 +334,7 @@ pub fn simulate_reconfigured_observed(
         every > 0.0 && every.is_finite(),
         "observation interval must be positive"
     );
-    assert!(
-        reconfig.at.is_finite() && reconfig.at >= 0.0,
-        "reconfiguration time must be finite and non-negative"
-    );
-    for (fi, route) in &reconfig.reroutes {
-        assert!(*fi < flows.len(), "reroute flow index out of range");
-        assert!(!route.is_empty(), "reroute must be non-empty");
-        for &k in route {
-            assert!(
-                (k as usize) < capacities.len(),
-                "reroute server out of range"
-            );
-        }
-    }
+    check_reconfiguration(capacities, flows, reconfig);
     run(
         capacities,
         flows,
@@ -251,9 +342,28 @@ pub fn simulate_reconfigured_observed(
         discipline,
         Some(reconfig),
         Some((every, observer)),
+        crate::metrics::sim(),
     )
 }
 
+/// The event loop. Events are processed in `(time, seq)` order, with
+/// sequence numbers assigned as if every event went through one heap:
+/// conforming emissions get `1..=E` in (flow, emission) order, the swap
+/// `E + 1`, and events created during the run follow in creation order.
+/// No heap holds them all; four sources are merged instead:
+///
+/// 1. emissions, in one array sorted by `(time, seq)`;
+/// 2. the swap;
+/// 3. transmission completions (see [`Completions`]);
+/// 4. hand-offs — a packet arriving at its next station at the instant
+///    its last transmission completed — in a FIFO.
+///
+/// At equal times this source order is seq order. Emissions and the
+/// swap carry the lowest seqs. A completion is always scheduled for a
+/// later instant than the one that creates it, so every completion due
+/// at `t` was created before `t`, while a hand-off due at `t` is created
+/// at `t`: completions go first. Hand-offs are created, and so queued,
+/// in seq order, and all of them are due at the current instant.
 fn run(
     capacities: &[f64],
     flows: &[FlowSpec],
@@ -261,9 +371,9 @@ fn run(
     discipline: &Discipline,
     reconfig: Option<&Reconfiguration>,
     observe: Option<(f64, &mut dyn FnMut(SimProgress))>,
+    metrics: &SimMetrics,
 ) -> SimReport {
     let t_run = uba_obs::Stopwatch::start();
-    let metrics = crate::metrics::sim();
     let classes = cfg.deadlines.len();
     assert!(classes > 0, "need at least one class deadline");
     for f in flows {
@@ -274,65 +384,60 @@ fn run(
         }
     }
 
-    // Build stations: real servers first, then shapers.
+    // Stations: real servers first, then one access shaper per
+    // (ingress, first server) pair, created on first use. `hops` is the
+    // flat route table: each sim-route is a shaper followed by the real
+    // route, and `add_route` appends one and returns its extent.
     let mut stations: Vec<Station> = capacities
         .iter()
         .map(|&c| Station::new(c, classes, discipline))
         .collect();
     let mut shaper_of: HashMap<(u32, u32), u32> = HashMap::new();
-    // Sim-route per flow: shaper followed by the real route.
-    let mut sim_routes: Vec<Vec<u32>> = Vec::with_capacity(flows.len());
-    for f in flows {
-        let key = (f.ingress, f.route[0]);
-        let station = *shaper_of.entry(key).or_insert_with(|| {
+    let mut hops: Vec<u32> = Vec::with_capacity(flows.iter().map(|f| f.route.len() + 1).sum());
+    let mut add_route = |ingress: u32, route: &[u32]| {
+        let shaper = *shaper_of.entry((ingress, route[0])).or_insert_with(|| {
             let id = stations.len() as u32;
-            let cap = capacities[f.route[0] as usize];
+            let cap = capacities[route[0] as usize];
             stations.push(Station::new(cap, classes, discipline));
             id
         });
-        let mut r = Vec::with_capacity(f.route.len() + 1);
-        r.push(station);
-        r.extend_from_slice(&f.route);
-        sim_routes.push(r);
-    }
-
-    // Post-swap sim-routes: identical except for rerouted flows, which
-    // get (creating if needed) the shaper for their new first server.
-    let mut sim_routes_b = sim_routes.clone();
-    if let Some(rc) = reconfig {
-        for (fi, new_route) in &rc.reroutes {
-            let key = (flows[*fi].ingress, new_route[0]);
-            let station = *shaper_of.entry(key).or_insert_with(|| {
-                let id = stations.len() as u32;
-                let cap = capacities[new_route[0] as usize];
-                stations.push(Station::new(cap, classes, discipline));
-                id
-            });
-            let mut r = Vec::with_capacity(new_route.len() + 1);
-            r.push(station);
-            r.extend_from_slice(new_route);
-            sim_routes_b[*fi] = r;
-        }
-    }
-
-    // Event heap ordered by (time, seq).
-    let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut payloads: HashMap<u64, Event> = HashMap::new();
-    let mut seq: u64 = 0;
-    let push = |heap: &mut BinaryHeap<Reverse<(u64, u64)>>,
-                payloads: &mut HashMap<u64, Event>,
-                seq: &mut u64,
-                t: u64,
-                e: Event| {
-        *seq += 1;
-        heap.push(Reverse((t, *seq)));
-        payloads.insert(*seq, e);
+        let start = hops.len() as u32;
+        hops.push(shaper);
+        hops.extend_from_slice(route);
+        assert!(
+            hops.len() <= u32::MAX as usize,
+            "route table exceeds u32 offsets"
+        );
+        (start, hops.len() as u32)
     };
+    let rows: Vec<FlowRow> = flows
+        .iter()
+        .map(|f| {
+            let (start, end) = add_route(f.ingress, &f.route);
+            FlowRow {
+                bits: f.source.packet_bits(),
+                class: f.class as u32,
+                start,
+                end,
+            }
+        })
+        .collect();
+    // Post-swap routes: identical except for rerouted flows, which get
+    // (creating if needed) the shaper for their new first server.
+    let rows_after: Option<Vec<FlowRow>> = reconfig.map(|rc| {
+        let mut after = rows.clone();
+        for (fi, new_route) in &rc.reroutes {
+            (after[*fi].start, after[*fi].end) = add_route(flows[*fi].ingress, new_route);
+        }
+        after
+    });
 
     // Source emissions, through the per-flow ingress policer when
     // configured: a token bucket that silently drops non-conforming
     // packets (edge-router policing, Section 3).
     let mut policed_drops = vec![0u64; classes];
+    let mut emissions: Vec<Emission> = Vec::new();
+    let mut seq: u64 = 0;
     for (fi, f) in flows.iter().enumerate() {
         let bits = f.source.packet_bits() as f64;
         let mut tokens;
@@ -349,32 +454,29 @@ fn run(
                 }
                 tokens -= bits;
             }
-            let tns = (t * NS).round() as u64;
-            push(
-                &mut heap,
-                &mut payloads,
-                &mut seq,
-                tns,
-                Event::Arrive(Job {
-                    flow: fi as u32,
-                    hop: 0,
-                    t0: tns,
-                    rerouted: false,
-                }),
-            );
+            seq += 1;
+            emissions.push(Emission {
+                t: (t * NS).round() as u64,
+                seq,
+                flow: fi as u32,
+            });
         }
     }
+    emissions.sort_unstable_by_key(|e| (e.t, e.seq));
 
-    // The swap event is pushed after every emission, so it carries a
-    // higher sequence number: arrivals at exactly `at` sort before it and
-    // still use the old routes.
-    if let Some(rc) = reconfig {
-        let tns = (rc.at * NS).round() as u64;
-        push(&mut heap, &mut payloads, &mut seq, tns, Event::Reconfigure);
-    }
+    // The swap takes the next sequence number after every emission:
+    // arrivals at exactly `at` sort before it and still use the old
+    // routes.
+    let mut swap = reconfig.map(|rc| {
+        seq += 1;
+        ((rc.at * NS).round() as u64, rc)
+    });
+    let mut completions = Completions::default();
+    let mut handoffs: VecDeque<Handoff> = VecDeque::new();
 
     let mut acc: Vec<StatsAccumulator> = vec![StatsAccumulator::default(); classes];
     let mut histograms = vec![crate::report::DelayHistogram::default(); classes];
+    let mut depths = DepthTally::default();
     let mut total_packets = 0u64;
     let mut total_misses = 0u64;
     let mut events = 0u64;
@@ -388,101 +490,99 @@ fn run(
     let mut published_packets = 0u64;
     let mut published_misses = 0u64;
     let mut last_t = 0u64;
+    let mut next_emission = emissions.iter().peekable();
 
-    while let Some(Reverse((t, s))) = heap.pop() {
+    loop {
+        // The four sources, each in `(t, seq)` order, merged by time;
+        // at equal times the source order below is seq order (see
+        // `run`'s docs). Pending hand-offs are due now.
+        let due = [
+            next_emission.peek().map(|e| e.t),
+            swap.map(|(t, _)| t),
+            completions.peek().map(|((t, ..), _)| t),
+            (!handoffs.is_empty()).then_some(last_t),
+        ];
+        let Some((t, source)) = due
+            .into_iter()
+            .zip(0u8..)
+            .filter_map(|(t, source)| Some((t?, source)))
+            .min()
+        else {
+            break;
+        };
         events += 1;
         last_t = t;
-        let ev = payloads.remove(&s).expect("payload for event");
-        match ev {
-            Event::Arrive(mut job) => {
-                if job.hop == 0 {
-                    // Entering the network: the packet commits to the
-                    // routes in force right now and keeps them for life.
-                    job.rerouted = reconfigured;
-                }
-                let routes = if job.rerouted {
-                    &sim_routes_b
-                } else {
-                    &sim_routes
+        // The packet that arrives at a station, with the seq that stamps it.
+        let (s, job, bits) = match source {
+            0 => {
+                let e = next_emission.next().expect("peeked emission");
+                // Entering the network: the packet commits to the routes
+                // in force right now and keeps them for life.
+                let row = match (&rows_after, reconfigured) {
+                    (Some(after), true) => after[e.flow as usize],
+                    _ => rows[e.flow as usize],
                 };
-                let f = &flows[job.flow as usize];
-                let st_id = routes[job.flow as usize][job.hop as usize] as usize;
-                let st = &mut stations[st_id];
-                st.sched.enqueue(
-                    f.class,
-                    SchedJob {
-                        payload: job,
-                        bits: f.source.packet_bits(),
-                        seq: s,
-                    },
-                    t as f64 / NS,
-                );
-                st.backlog += 1;
-                if st.backlog > peak_backlog {
-                    peak_backlog = st.backlog;
-                    tracer.emit(
-                        uba_obs::EventKind::QueueHighWater,
-                        f.class,
-                        job.flow as u64,
-                        st_id as u32,
-                        peak_backlog as f64,
-                        t as f64 / NS,
-                    );
-                }
-                metrics.queue_depth.record(st.backlog as f64);
-                if st.current.is_none() {
-                    let next = st.sched.dequeue().unwrap().payload;
-                    let bits = flows[next.flow as usize].source.packet_bits();
-                    let dur = (bits as f64 / st.capacity * NS).round() as u64;
-                    st.current = Some(next);
-                    push(
-                        &mut heap,
-                        &mut payloads,
-                        &mut seq,
-                        t + dur.max(1),
-                        Event::Complete {
-                            station: st_id as u32,
-                        },
-                    );
-                }
+                let job = Job {
+                    t0: e.t,
+                    flow: e.flow,
+                    class: row.class,
+                    pos: row.start,
+                    end: row.end,
+                };
+                (e.seq, job, row.bits)
             }
-            Event::Complete { station } => {
+            1 => {
+                let (_, rc) = swap.take().expect("swap was due");
+                reconfigured = true;
+                tracer.emit(
+                    uba_obs::EventKind::ReconfigApplied,
+                    0,
+                    0,
+                    u32::MAX,
+                    rc.at,
+                    rc.reroutes.len() as f64,
+                );
+                continue;
+            }
+            2 => {
+                let (.., station) = completions.pop().expect("peeked completion");
                 let st_id = station as usize;
-                let mut job = {
+                let done = {
                     let st = &mut stations[st_id];
                     st.backlog -= 1;
                     st.current.take().expect("completion without job")
                 };
-                let f = &flows[job.flow as usize];
-                let route = if job.rerouted {
-                    &sim_routes_b[job.flow as usize]
-                } else {
-                    &sim_routes[job.flow as usize]
-                };
-                if job.hop == 0 {
+                let mut job = done.payload;
+                if st_id >= capacities.len() {
                     // Leaving the access shaper: the guarantee clock
                     // starts now.
                     job.t0 = t;
                 }
-                if (job.hop as usize) + 1 < route.len() {
-                    job.hop += 1;
-                    push(&mut heap, &mut payloads, &mut seq, t, Event::Arrive(job));
+                if job.pos + 1 < job.end {
+                    job.pos += 1;
+                    seq += 1;
+                    handoffs.push_back(Handoff {
+                        seq,
+                        job,
+                        bits: done.bits,
+                    });
                 } else {
+                    let class = job.class as usize;
                     let delay = (t - job.t0) as f64 / NS;
-                    let deadline = cfg.deadlines[f.class];
+                    let deadline = cfg.deadlines[class];
                     if delay > deadline {
                         total_misses += 1;
                         tracer.emit(
                             uba_obs::EventKind::DeadlineMiss,
-                            f.class,
+                            class,
                             job.flow as u64,
                             st_id as u32,
                             delay,
                             deadline,
                         );
                     }
-                    acc[f.class].record(delay, deadline);
-                    histograms[f.class].record(delay);
+                    acc[class].record(delay, deadline);
+                    histograms[class].record(delay);
                     total_packets += 1;
                     if let (Some((every, obs)), Some(mark)) = (observe.as_mut(), next_obs.as_mut())
                     {
@@ -496,6 +596,7 @@ fn run(
                             // taken inside it reflects this window.
                             metrics.packets.add(total_packets - published_packets);
                             metrics.deadline_misses.add(total_misses - published_misses);
+                            depths.flush(&metrics.queue_depth);
                             published_packets = total_packets;
                             published_misses = total_misses;
                             obs(SimProgress {
@@ -509,33 +610,51 @@ fn run(
                 }
                 // Start the next queued packet, if any.
                 let st = &mut stations[st_id];
-                if let Some(next) = st.sched.dequeue().map(|j| j.payload) {
-                    let bits = flows[next.flow as usize].source.packet_bits();
-                    let dur = (bits as f64 / st.capacity * NS).round() as u64;
+                if let Some(next) = st.sched.dequeue() {
+                    let dur = (next.bits as f64 / st.capacity * NS).round() as u64;
                     st.current = Some(next);
-                    push(
-                        &mut heap,
-                        &mut payloads,
-                        &mut seq,
-                        t + dur.max(1),
-                        Event::Complete {
-                            station: st_id as u32,
-                        },
-                    );
+                    seq += 1;
+                    completions.push((t + dur.max(1), seq, station));
                 }
+                continue;
             }
-            Event::Reconfigure => {
-                reconfigured = true;
-                let rc = reconfig.expect("reconfigure event without config");
-                tracer.emit(
-                    uba_obs::EventKind::ReconfigApplied,
-                    0,
-                    0,
-                    u32::MAX,
-                    rc.at,
-                    rc.reroutes.len() as f64,
-                );
+            _ => {
+                let h = handoffs.pop_front().expect("hand-off was due");
+                (h.seq, h.job, h.bits)
             }
+        };
+
+        // An arrival: enqueue `job` at its current station.
+        let st_id = hops[job.pos as usize];
+        let st = &mut stations[st_id as usize];
+        st.sched.enqueue(
+            job.class as usize,
+            SchedJob {
+                payload: job,
+                bits,
+                seq: s,
+            },
+            t as f64 / NS,
+        );
+        st.backlog += 1;
+        if st.backlog > peak_backlog {
+            peak_backlog = st.backlog;
+            tracer.emit(
+                uba_obs::EventKind::QueueHighWater,
+                job.class as usize,
+                job.flow as u64,
+                st_id,
+                peak_backlog as f64,
+                t as f64 / NS,
+            );
+        }
+        depths.record(st.backlog);
+        if st.current.is_none() {
+            let next = st.sched.dequeue().unwrap();
+            let dur = (next.bits as f64 / st.capacity * NS).round() as u64;
+            st.current = Some(next);
+            seq += 1;
+            completions.push((t + dur.max(1), seq, st_id));
         }
     }
 
@@ -551,6 +670,7 @@ fn run(
         peak_backlog,
     };
     let elapsed = t_run.elapsed_secs();
+    depths.flush(&metrics.queue_depth);
     metrics.runs.inc();
     metrics.events.add(events);
     // Observed runs published most of these deltas mid-run; only the
@@ -989,8 +1109,8 @@ mod tests {
 
     #[test]
     fn runs_record_metrics() {
-        // Metrics are process-global; assert on deltas.
-        let m = crate::metrics::sim();
+        // A private registry: other tests' runs record into the global one.
+        let m = &SimMetrics::new(&uba_obs::Registry::new());
         let (runs0, events0, packets0, misses0) = (
             m.runs.get(),
             m.events.get(),
@@ -1008,7 +1128,15 @@ mod tests {
             deadlines: vec![1e-12],
             policers: None,
         };
-        let r = simulate(&[C], &flows, &tight);
+        let r = run(
+            &[C],
+            &flows,
+            &tight,
+            &Discipline::StaticPriority,
+            None,
+            None,
+            m,
+        );
         assert_eq!(m.runs.get() - runs0, 1);
         assert_eq!(m.events.get() - events0, r.events);
         assert_eq!(m.packets.get() - packets0, r.total_packets);
@@ -1149,7 +1277,7 @@ mod tests {
 
     #[test]
     fn observed_run_reports_monotone_progress_and_exact_totals() {
-        let m = crate::metrics::sim();
+        let m = &SimMetrics::new(&uba_obs::Registry::new());
         let (packets0, misses0) = (m.packets.get(), m.deadline_misses.get());
         let flows = vec![FlowSpec {
             class: 0,
@@ -1163,13 +1291,14 @@ mod tests {
             policers: None,
         };
         let mut seen: Vec<SimProgress> = Vec::new();
-        let r = simulate_observed(
+        let r = run(
             &[C],
             &flows,
             &tight,
             &Discipline::StaticPriority,
-            0.02,
-            &mut |p| seen.push(p),
+            None,
+            Some((0.02, &mut |p| seen.push(p))),
+            m,
         );
         assert!(seen.len() >= 3, "only {} observations", seen.len());
         for w in seen.windows(2) {

@@ -1,9 +1,10 @@
 //! Simulator instrumentation.
 //!
 //! Counters are bumped once per completed run (from the final tallies
-//! the engine already keeps); only the queue-depth histogram records
-//! inside the event loop, at three relaxed atomic ops per enqueue.
-//! Exception: *observed* runs ([`crate::simulate_observed`] /
+//! the engine already keeps). The queue-depth histogram is fed from a
+//! run-local tally of backlog depths, flushed with one `record_n` per
+//! depth at each observation point and at the end of the run, so the
+//! event loop itself does no atomic writes. Exception: *observed* runs ([`crate::simulate_observed`] /
 //! [`crate::simulate_reconfigured_observed`]) publish `sim.packets` and
 //! `sim.deadline_misses` incrementally at each observation point (the
 //! end-of-run publish then adds only the remainder), so windowed
@@ -25,7 +26,7 @@
 //! | `sim.peak_backlog` | gauge | peak station backlog of the latest run |
 
 use std::sync::{Arc, OnceLock};
-use uba_obs::{Counter, Gauge, Histogram};
+use uba_obs::{Counter, Gauge, Histogram, Registry};
 
 /// Handles to the simulator metrics.
 #[derive(Debug)]
@@ -50,11 +51,9 @@ pub struct SimMetrics {
     pub peak_backlog: Arc<Gauge>,
 }
 
-/// The process-global simulator metrics (registered on first use).
-pub fn sim() -> &'static SimMetrics {
-    static METRICS: OnceLock<SimMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = uba_obs::global();
+impl SimMetrics {
+    /// Registers (or looks up) the simulator metrics in `r`.
+    pub fn new(r: &Registry) -> Self {
         SimMetrics {
             runs: r.counter("sim.runs"),
             events: r.counter("sim.events"),
@@ -66,7 +65,14 @@ pub fn sim() -> &'static SimMetrics {
             events_per_sec: r.gauge("sim.events_per_sec"),
             peak_backlog: r.gauge("sim.peak_backlog"),
         }
-    })
+    }
+}
+
+/// The process-global simulator metrics (registered on first use), the
+/// ones the public `simulate*` entry points record into.
+pub fn sim() -> &'static SimMetrics {
+    static METRICS: OnceLock<SimMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| SimMetrics::new(uba_obs::global()))
 }
 
 #[cfg(test)]

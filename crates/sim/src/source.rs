@@ -100,8 +100,9 @@ impl SourceModel {
 
     /// Emission times (seconds) of every packet up to `horizon`.
     ///
-    /// Used by the engine to pre-materialize the arrival process; counts
-    /// are modest for the durations the validation runs use.
+    /// The engine calls this once per flow and merges every flow's
+    /// conforming emissions into one array sorted by time (see
+    /// `engine::run`).
     pub fn emissions(&self, horizon: f64) -> Vec<f64> {
         let mut out = Vec::new();
         match *self {

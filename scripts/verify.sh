@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repo verification gate: hermetic release build, full test suite, and the
-# instrumentation-overhead smoke check. Everything runs offline — the
-# workspace has no external dependencies (see DESIGN.md §3).
+# Repo verification gate: hermetic release build, full test suite, the
+# simulator's recorded outputs, and the overhead smoke checks. Everything
+# runs offline — the workspace has no external dependencies (see
+# DESIGN.md §3).
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -21,6 +22,13 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo test --offline -q (workspace test suite)"
 cargo test --offline --workspace -q
+
+# Both binaries are deterministic: any engine change that moves a
+# verdict, a delay or a miss count shows up as a diff.
+echo "==> simulator outputs (policing / validate_sim stdout vs results/)"
+for bin in policing validate_sim; do
+  cargo run --offline --release -q -p uba-bench --bin "$bin" | diff - "results/$bin.txt"
+done
 
 echo "==> obs_overhead smoke (instrumented admit path vs uninstrumented)"
 cargo run --offline --release -p uba-bench --bin obs_overhead -- smoke
